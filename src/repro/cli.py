@@ -326,10 +326,6 @@ def _add_serve_args(p: argparse.ArgumentParser,
     p.add_argument("--pull-factor", type=float, default=None,
                    help="push-pull trigger: load-imbalance factor that "
                         "flips a round from push to pull (default 3.0)")
-    p.add_argument("--sim-mode", default=None, choices=["vector", "scalar"],
-                   help="simulator round-accounting core: the array-backed "
-                        "vector core (default) or the per-module scalar "
-                        "oracle")
     p.add_argument("--tenants", default=None,
                    help="multi-tenant admission: name=weight pairs, e.g. "
                         "gold=4,bronze=1 — requests are tagged in those "
@@ -650,8 +646,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         # Express load relative to measured capacity at a well-amortised
         # reference batch; calibrate on a throwaway adapter so the serving
         # adapter starts cold.
-        probe = make_adapter(args.index, data, n_modules=n_modules, seed=seed,
-                             sim_mode=args.sim_mode)
+        probe = make_adapter(args.index, data, n_modules=n_modules, seed=seed)
         capacity = calibrate_capacity(probe, data, k=args.k, seed=seed)
         rate = args.load * capacity
         print(f"calibrated capacity ≈ {capacity:.0f} req/s; offering "
@@ -676,7 +671,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     idx_cfg = make_index_config(config, kind=args.index, n_points=len(data),
                                 n_modules=n_modules)
     adapter = make_adapter(args.index, data, n_modules=n_modules, seed=seed,
-                           sim_mode=args.sim_mode, config=idx_cfg)
+                           config=idx_cfg)
     _report_tuned(res)
     parts = _apply_tune_config(args, adapter, config)
     if parts == 2:
@@ -743,8 +738,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         # Per-shard rate, calibrated once on a throwaway adapter (all
         # shards serve the same index, so one probe speaks for all).
         data = _dataset(args.dataset, n, seed)
-        probe = make_adapter(args.index, data, n_modules=n_modules,
-                             seed=seed, sim_mode=args.sim_mode)
+        probe = make_adapter(args.index, data, n_modules=n_modules, seed=seed)
         capacity = calibrate_capacity(probe, data, k=args.k, seed=seed)
         rate = args.load * capacity
         print(f"calibrated capacity ≈ {capacity:.0f} req/s; offering "
@@ -758,7 +752,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
                     else math.inf),
         queue_depth=args.queue_depth, overflow=args.overflow,
         policy=config["batch.policy"], fixed_batch=int(config["batch.fixed"]),
-        sim_mode=args.sim_mode, arrival=args.arrival, tenants=tenants,
+        arrival=args.arrival, tenants=tenants,
         tune_config=config if res.non_default() else None,
     )
 
@@ -853,8 +847,7 @@ def _run_faults(args: argparse.Namespace) -> int:
     if rate is None:
         # Calibrate against a fault-free throwaway adapter: capacity means
         # the healthy machine's capacity, so degradation is visible.
-        probe = make_adapter(args.index, data, n_modules=n_modules, seed=seed,
-                             sim_mode=args.sim_mode)
+        probe = make_adapter(args.index, data, n_modules=n_modules, seed=seed)
         capacity = calibrate_capacity(probe, data, k=args.k, seed=seed)
         rate = args.load * capacity
         print(f"calibrated fault-free capacity ≈ {capacity:.0f} req/s; "
@@ -880,8 +873,7 @@ def _run_faults(args: argparse.Namespace) -> int:
     idx_cfg = make_index_config(config, kind=args.index, n_points=len(data),
                                 n_modules=n_modules)
     adapter = make_adapter(args.index, data, n_modules=n_modules, seed=seed,
-                           fault_plan=plan, tracer=tracer,
-                           sim_mode=args.sim_mode, config=idx_cfg)
+                           fault_plan=plan, tracer=tracer, config=idx_cfg)
     _report_tuned(res)
     parts = _apply_tune_config(args, adapter, config)
     if parts == 2:

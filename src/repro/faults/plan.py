@@ -159,16 +159,46 @@ class FaultPlan:
         self.events.append(ev)
         return ev
 
+    def roll_drops(self, direction: str, mids: np.ndarray, words: np.ndarray,
+                   round_index: int) -> tuple[int, FaultEvent | None]:
+        """Array form of :meth:`should_drop` over transfers in order.
+
+        Returns ``(i, event)`` for the first dropped transfer (its event
+        recorded), or ``(len(mids), None)`` if none dropped.  Consumes the
+        RNG exactly as one :meth:`should_drop` call per transfer up to and
+        including the drop: ``random(n)`` yields the same doubles as ``n``
+        ``random()`` calls, and on a drop at ``i`` the generator is rewound
+        and advanced by ``i + 1`` draws only.
+        """
+        n = len(mids)
+        if self.paused or self.drop_rate <= 0.0 or n == 0:
+            return n, None
+        bitgen = self._rng.bit_generator
+        state = bitgen.state
+        hits = np.flatnonzero(self._rng.random(n) < self.drop_rate)
+        if hits.size == 0:
+            return n, None
+        i = int(hits[0])
+        bitgen.state = state
+        self._rng.random(i + 1)
+        ev = FaultEvent("drop", int(mids[i]), round_index, float(words[i]),
+                        direction)
+        self.events.append(ev)
+        return i, ev
+
     def on_round_close(self, round_index: int,
                        live_mids: list[int]) -> list[FaultEvent]:
         """Advance the schedule after one charged BSP round.
 
         Returns the newly injected events; ``"crash"`` events must be
-        applied by the caller (``PIMSystem.decommission``).
+        applied by the caller (``PIMSystem.decommission``).  A crash that
+        would leave no live module is never emitted (its random roll is
+        still drawn, so the RNG order does not depend on it).
         """
         if self.paused:
             return []
         out: list[FaultEvent] = []
+        n_live = len(live_mids)
         # Storm decay.
         for mid in sorted(self._storms):
             left = self._storms[mid] - 1
@@ -180,8 +210,9 @@ class FaultPlan:
         # Scheduled crashes.
         for mid in sorted(self.crash_at):
             if (self.crash_at[mid] <= round_index and mid in live_mids
-                    and mid not in self.crashed):
+                    and mid not in self.crashed and n_live > 1):
                 out.append(self._crash(mid, round_index, "scheduled"))
+                n_live -= 1
         # Random crashes (bounded by max_crashes).
         if self.crash_rate > 0.0:
             for mid in live_mids:
@@ -190,8 +221,9 @@ class FaultPlan:
                 if (self.max_crashes is not None
                         and len(self.crashed) >= self.max_crashes):
                     break
-                if self._rng.random() < self.crash_rate:
+                if self._rng.random() < self.crash_rate and n_live > 1:
                     out.append(self._crash(mid, round_index, "random"))
+                    n_live -= 1
         # Whole-machine kill (fires once).
         if (self.machine_kill_at is not None and not self.machine_killed
                 and round_index >= self.machine_kill_at):

@@ -28,16 +28,13 @@ An optional :class:`repro.obs.TraceCollector` (``tracer=`` /
 attached the per-charge cost is a single ``is None`` test and the counters
 are byte-identical to an untraced run.
 
-Two simulator cores implement identical semantics (``sim_mode=``):
-``"scalar"`` keeps one :class:`~repro.pim.module.PIMModule` object per
-module (the byte-exact oracle), while ``"vector"`` backs all per-module
-round state with NumPy arrays (:mod:`repro.pim.vector`) and closes
-rounds with a handful of array reductions — the paper-scale (P = 2048)
-fast path.  Both modes produce byte-identical :class:`PIMStats`; the
-differential suite in ``tests/test_sim_modes.py`` enforces it.  The
-array-native entry points (:meth:`charge_pim_array`, :meth:`send_array`,
-:meth:`recv_array`) exist in both modes; in scalar mode they degrade to
-element-by-element charging.
+Per-module round state lives in NumPy arrays (:mod:`repro.pim.vector`)
+and a round closes with a handful of array reductions, so P = 2048 costs
+little more per round than P = 64.  Charges enter one element at a time
+(:meth:`charge_pim`, :meth:`send`, :meth:`recv`) or as parallel arrays
+(:meth:`charge_pim_array`, :meth:`send_array`, :meth:`recv_array`); the
+array verbs book exactly what the per-element loop would — including
+tracing, dead modules and the drop-RNG order — without calling it.
 
 An optional :class:`repro.faults.FaultPlan` (``fault_plan=`` /
 :meth:`attach_faults`) injects seeded faults at the charging sites:
@@ -60,9 +57,8 @@ import numpy as np
 
 from ..faults.errors import MachineKill, MessageLoss, ModuleFailure
 from .cache import LRUCache
-from .module import PIMModule
 from .stats import PIMStats
-from .vector import VectorState
+from .vector import ModuleView, VectorState
 
 __all__ = ["PIMSystem"]
 
@@ -109,30 +105,14 @@ class PIMSystem:
         seed: int = 0,
         tracer=None,
         fault_plan=None,
-        sim_mode: str = "vector",
     ) -> None:
         if n_modules < 1:
             raise ValueError("need at least one PIM module")
-        if sim_mode not in ("scalar", "vector"):
-            raise ValueError(
-                f"sim_mode must be 'scalar' or 'vector', got {sim_mode!r}"
-            )
         self.n_modules = int(n_modules)
-        self.sim_mode = sim_mode
-        if sim_mode == "vector":
-            self._vec = VectorState(self.n_modules, module_capacity_words)
-            self.modules = self._vec.views
-            if module_capacity_words is not None:
-                self._vec.pressure_cb = self._capacity_pressure
-        else:
-            self._vec = None
-            self.modules = [
-                PIMModule(mid, module_capacity_words)
-                for mid in range(self.n_modules)
-            ]
-            if module_capacity_words is not None:
-                for m in self.modules:
-                    m.pressure_cb = self._capacity_pressure
+        self._vec = VectorState(self.n_modules, module_capacity_words)
+        self.modules = self._vec.views
+        if module_capacity_words is not None:
+            self._vec.pressure_cb = self._capacity_pressure
         self.llc = LRUCache(max(1, llc_bytes // 64), words_per_block=_WORDS_PER_BLOCK)
         self.stats = PIMStats()
         self.seed = seed
@@ -140,7 +120,6 @@ class PIMSystem:
         self._phase_stack: list[str] = []
         self._pin_depth = 0  # >0: inner phase() calls do not relabel
         self._in_round = False
-        self._round_dirty: set[int] = set()
         self._round_entry_phase = "other"
         self._rounds_charged = 0  # non-empty rounds closed so far
         self._trace = tracer
@@ -289,10 +268,6 @@ class PIMSystem:
             if on_fault is not None:
                 on_fault(self.current_phase, event)
 
-    def _check_dead(self, mid: int) -> None:
-        if self._dead and mid in self._dead:
-            raise ModuleFailure(mid)
-
     def _check_drop(self, direction: str, mid: int, words: float) -> None:
         ev = self._faults.should_drop(direction, mid, words, self._rounds_charged)
         if ev is not None:
@@ -365,7 +340,7 @@ class PIMSystem:
     def n_placement_overrides(self) -> int:
         return len(self._place_overrides)
 
-    def _capacity_pressure(self, module: PIMModule) -> None:
+    def _capacity_pressure(self, module: ModuleView) -> None:
         """A module allocation crossed ``capacity_words`` — record it.
 
         Capacity pressure is *recorded*, never booked (like fault events):
@@ -449,10 +424,6 @@ class PIMSystem:
                 self._trace.on_dram(phase, _WORDS_PER_BLOCK, streamed=False)
         return hit
 
-    def touch_cpu_range(self, base_id, n_blocks: int) -> None:
-        for i in range(int(n_blocks)):
-            self.touch_cpu_block((base_id, i))
-
     def touch_cpu_blocks(self, block_ids) -> None:
         """Sequential CPU accesses to many blocks, charged in one call.
 
@@ -505,138 +476,46 @@ class PIMSystem:
         if self._machine_dead:
             raise MachineKill(self._rounds_charged)
         self._in_round = True
-        self._round_dirty.clear()
         self._round_entry_phase = self.current_phase
         try:
             yield
         finally:
             self._in_round = False
-            if self._round_dirty or (
-                    self._vec is not None and self._vec.dirty.any()):
+            if self._vec.dirty.any():
                 self._close_round()
 
     def _close_round(self) -> None:
         """Book one non-empty BSP round into the stats (and the trace)."""
-        if self._vec is None:
-            self._book_round_scalar()
-        else:
-            self._book_round_vector()
+        self._book_round()
         self._rounds_charged += 1
 
         # Advance the fault schedule: storms decay/start, crashes land.
         # Crash events are applied here (decommission) so the failure is
-        # detected on the *next* charge addressed to the dead module.
+        # detected on the *next* charge addressed to the dead module.  The
+        # plan never crashes the last live module.
         if self._faults is not None and not self._faults.paused:
-            if self._vec is None:
-                live = [m.mid for m in self.modules if not m.failed]
-            else:
-                live = [int(i) for i in np.flatnonzero(~self._vec.failed)]
+            live = np.flatnonzero(~self._vec.failed).tolist()
             for ev in self._faults.on_round_close(self._rounds_charged - 1, live):
                 if ev.kind == "crash":
-                    if self.n_live <= 1:
-                        continue  # never crash the last live module
                     self.decommission(ev.mid)
                 elif ev.kind == "machine_kill":
                     self._machine_dead = True
                 self._notify_fault(ev)
 
-    def _book_round_scalar(self) -> None:
-        """Round booking over the per-module PIMModule objects (oracle)."""
-        dirty = [self.modules[mid] for mid in sorted(self._round_dirty)]
-        straggler = dirty[0]
-        max_words_module = None
-        max_cycles = 0.0
-        max_words = 0.0
-        total_words = 0.0
-        module_rounds = 0
-        for m in dirty:
-            if m.round_cycles > max_cycles:
-                max_cycles = m.round_cycles
-                straggler = m
-            w = m.round_words
-            total_words += w
-            if w > 0:
-                module_rounds += 1
-            if w > max_words:
-                max_words = w
-                max_words_module = m
-
-        t = self.stats.total
-        t.pim_cycles += max_cycles
-        t.comm_words += total_words
-        t.comm_max_words += max_words
-        t.rounds += 1
-        t.module_rounds += module_rounds
-        # Charge-time attribution: the straggler's cycles split by the
-        # phases it was charged under; comm split by each word's phase; the
-        # bottleneck-link max by the bottleneck module's phases.  Round
-        # scalars go to the entry phase.  Every total increment above is
-        # mirrored exactly by the per-phase increments below, so
-        # ``total == Σ phases`` holds for every counter.
-        for ph, cyc in straggler.round_phase_cycles.items():
-            self.stats.phase(ph).pim_cycles += cyc
-        for m in dirty:
-            for ph, w in m.round_phase_words.items():
-                self.stats.phase(ph).comm_words += w
-        if max_words_module is not None:
-            for ph, w in max_words_module.round_phase_words.items():
-                self.stats.phase(ph).comm_max_words += w
-        entry = self.stats.phase(self._round_entry_phase)
-        entry.rounds += 1
-        entry.module_rounds += module_rounds
-        self.stats.mux_switches += 2
-
-        if self._trace is not None:
-            from ..obs.trace import RoundRecord
-
-            self._trace.on_round(
-                RoundRecord(
-                    index=self._rounds_charged,
-                    entry_phase=self._round_entry_phase,
-                    straggler_mid=straggler.mid,
-                    max_cycles=max_cycles,
-                    total_words=total_words,
-                    max_words=max_words,
-                    max_words_mid=(
-                        max_words_module.mid if max_words_module is not None else -1
-                    ),
-                    module_rounds=module_rounds,
-                    touched=len(dirty),
-                    cycles_by_module={m.mid: m.round_cycles for m in dirty},
-                    words_by_module={m.mid: m.round_words for m in dirty},
-                    pim_cycles_by_phase=dict(straggler.round_phase_cycles),
-                    phase_words_by_module={
-                        m.mid: dict(m.round_phase_words) for m in dirty
-                    },
-                    comm_max_words_by_phase=(
-                        dict(max_words_module.round_phase_words)
-                        if max_words_module is not None
-                        else {}
-                    ),
-                )
-            )
-        for m in dirty:
-            m.begin_round()
-
-    def _book_round_vector(self) -> None:
+    def _book_round(self) -> None:
         """Round booking over the VectorState arrays.
 
-        Byte-identical to :meth:`_book_round_scalar`: the straggler and
-        bottleneck-link argmaxes use first-occurrence-over-sorted-mids
-        (matching the scalar strict ``>`` scan), per-phase splits are
-        guarded against zero so no spurious phase bucket is created, and
-        all sums are over integer-valued charges (exact in float64, so
-        summation order is irrelevant).
+        The straggler and bottleneck-link argmaxes take the first
+        occurrence over ascending mids (ties go to the lowest mid),
+        per-phase splits are guarded against zero so no spurious phase
+        bucket is created, and all sums are over integer-valued charges
+        (exact in float64, so summation order is irrelevant).
         """
         v = self._vec
-        if self._round_dirty:
-            # Union in the modules the scalar entry points touched.
-            v.dirty[np.fromiter(self._round_dirty, dtype=np.intp,
-                                count=len(self._round_dirty))] = True
-        mids = np.flatnonzero(v.dirty)  # ascending, like sorted(set)
+        mids = np.flatnonzero(v.dirty)
         mids_list = mids.tolist()
         rc = v.round_cycles[mids]
-        rw = v.round_send_words[mids] + v.round_recv_words[mids]
+        rw = v.round_words[mids]
         i_straggler = int(np.argmax(rc))
         straggler_mid = mids_list[i_straggler]
         max_cycles = float(rc[i_straggler])
@@ -654,6 +533,12 @@ class PIMSystem:
         t.comm_max_words += max_words
         t.rounds += 1
         t.module_rounds += module_rounds
+        # Charge-time attribution: the straggler's cycles split by the
+        # phases it was charged under; comm split by each word's phase; the
+        # bottleneck-link max by the bottleneck module's phases.  Round
+        # scalars go to the entry phase.  Every total increment above is
+        # mirrored exactly by the per-phase increments below, so
+        # ``total == Σ phases`` holds for every counter.
         for ph, arr in v.round_phase_cycles.items():
             c = float(arr[straggler_mid])
             if c != 0.0:
@@ -688,13 +573,8 @@ class PIMSystem:
                     ),
                     module_rounds=module_rounds,
                     touched=len(mids_list),
-                    cycles_by_module={
-                        m: float(v.round_cycles[m]) for m in mids_list
-                    },
-                    words_by_module={
-                        m: float(v.round_send_words[m] + v.round_recv_words[m])
-                        for m in mids_list
-                    },
+                    cycles_by_module=dict(zip(mids_list, rc.tolist())),
+                    words_by_module=dict(zip(mids_list, rw.tolist())),
                     pim_cycles_by_phase={
                         ph: float(arr[straggler_mid])
                         for ph, arr in v.round_phase_cycles.items()
@@ -721,13 +601,11 @@ class PIMSystem:
             )
         v.reset_round(mids)
 
-    def _module_in_round(self, mid: int) -> PIMModule:
+    def _check_live(self, mid: int) -> None:
         if not self._in_round:
             raise RuntimeError("PIM activity is only legal inside a BSP round")
         if self._dead and mid in self._dead:
             raise ModuleFailure(mid)
-        self._round_dirty.add(mid)
-        return self.modules[mid]
 
     def charge_pim(self, mid: int, cycles: float) -> None:
         """Charge PIM-core cycles on module ``mid`` in the current round.
@@ -736,21 +614,39 @@ class PIMSystem:
         multiply the charged cycles — the slow module inflates the round's
         straggler max exactly as §2.1's max-over-modules dictates.
 
-        A zero charge is a complete no-op (matching the bulk/array entry
+        A zero charge is a complete no-op (matching the array entry
         points, which skip zero amounts): it does not dirty the module,
         book a round, or consult the fault plan.
         """
         if not cycles:
             return
         phase = self.current_phase
-        m = self._module_in_round(mid)
+        self._check_live(mid)
         if self._faults is not None:
             f = self._faults.slow_factor(mid)
             if f != 1.0:
                 cycles = cycles * f
-        m.charge(cycles, phase)
+        v = self._vec
+        v.dirty[mid] = True
+        v.round_cycles[mid] += cycles
+        v.total_cycles[mid] += cycles
+        v.phase_cycles(phase)[mid] += cycles
         if self._trace is not None:
             self._trace.on_pim(phase, mid, cycles)
+
+    def _transfer(self, direction: str, mid: int, words: float) -> None:
+        phase = self.current_phase
+        self._check_live(mid)
+        if self._faults is not None:
+            self._check_drop(direction, mid, words)
+        v = self._vec
+        v.dirty[mid] = True
+        v.round_words[mid] += words
+        v.phase_words(phase)[mid] += words
+        if self._trace is not None:
+            hook = (self._trace.on_send if direction == "send"
+                    else self._trace.on_recv)
+            hook(phase, mid, words)
 
     def send(self, mid: int, words: float) -> None:
         """CPU → module transfer of ``words`` words in the current round.
@@ -760,44 +656,27 @@ class PIMSystem:
         charged; work already charged in the round stands and books when
         the round closes.
 
-        A zero-word send is a complete no-op (matching the bulk/array
-        entry points): no dirty module, no round, no drop roll.
+        A zero-word send is a complete no-op (matching the array entry
+        points): no dirty module, no round, no drop roll.
         """
-        if not words:
-            return
-        phase = self.current_phase
-        m = self._module_in_round(mid)
-        if self._faults is not None:
-            self._check_drop("send", mid, words)
-        m.add_recv(words, phase)
-        if self._trace is not None:
-            self._trace.on_send(phase, mid, words)
+        if words:
+            self._transfer("send", mid, words)
 
     def recv(self, mid: int, words: float) -> None:
         """Module → CPU transfer of ``words`` words in the current round.
 
         A zero-word recv is a complete no-op, like :meth:`send`.
         """
-        if not words:
-            return
-        phase = self.current_phase
-        m = self._module_in_round(mid)
-        if self._faults is not None:
-            self._check_drop("recv", mid, words)
-        m.add_send(words, phase)
-        if self._trace is not None:
-            self._trace.on_recv(phase, mid, words)
+        if words:
+            self._transfer("recv", mid, words)
 
     # -- array-native entry points --------------------------------------
     #
     # charge_pim_array / send_array / recv_array accept parallel (mids,
-    # amounts) arrays and are available in both sim modes: in scalar mode
-    # (or whenever a tracer, dead modules, or drop faults demand exact
-    # per-element semantics) they degrade to the element-by-element scalar
-    # calls, so they are byte-identical to a hand-written loop by
-    # construction.  In vector mode with no such complication they update
-    # the VectorState arrays with a handful of NumPy ops — the fast path
-    # the vexec kernels and the bulk-build ride at P=2048.
+    # amounts) arrays and book them with a handful of NumPy ops — the
+    # path the vexec kernels and the bulk build ride at P = 2048.  They
+    # are byte-identical to calling charge_pim / send / recv once per
+    # element in array order, faults and tracing included.
 
     @staticmethod
     def _as_charge_arrays(mids, amounts):
@@ -812,96 +691,80 @@ class PIMSystem:
             amounts = amounts[nz]
         return mids, amounts
 
-    def charge_pim_array(self, mids, cycles) -> None:
-        """Charge PIM cycles on many modules from parallel arrays.
+    def _book_array(self, kind: str, mids, amounts) -> None:
+        """Book parallel ``kind`` ("pim"/"send"/"recv") charges in order.
 
-        Zero entries are skipped (same no-op semantics as the scalar
-        path); slowdown factors are applied as a per-module multiplier
-        vector.  Byte-identical to calling :meth:`charge_pim` once per
-        element in array order.
+        The per-element semantics, reproduced without a per-element loop:
+        a charge addressed to a dead module books the prefix before it,
+        then raises :class:`~repro.faults.ModuleFailure`; under armed
+        drops the prefix is rolled in one draw, and a drop at index ``i``
+        books ``[0, i)``, records the event and raises
+        :class:`~repro.faults.MessageLoss`; an attached tracer sees the
+        booked prefix's raw events in array order.
         """
-        mids, cycles = self._as_charge_arrays(mids, cycles)
-        if mids.size == 0:
-            return
-        v = self._vec
-        if v is None or self._trace is not None or self._dead:
-            for mid, c in zip(mids.tolist(), cycles.tolist()):
-                self.charge_pim(mid, c)
+        mids, amounts = self._as_charge_arrays(mids, amounts)
+        n = mids.size
+        if n == 0:
             return
         if not self._in_round:
             raise RuntimeError("PIM activity is only legal inside a BSP round")
-        if self._faults is not None:
-            # x * 1.0 == x exactly, so the all-ones baseline is inert.
-            cycles = cycles * self._faults.slow_vector(self.n_modules)[mids]
+        v = self._vec
+        stop, err, drop = n, None, None
+        if self._dead:
+            hit = np.flatnonzero(v.failed[mids])
+            if hit.size:
+                stop = int(hit[0])
+                err = ModuleFailure(int(mids[stop]))
+        plan = self._faults
+        if plan is not None:
+            if kind == "pim":
+                # x * 1.0 == x exactly, so the all-ones baseline is inert.
+                amounts = amounts * plan.slow_vector(self.n_modules)[mids]
+            else:
+                i, drop = plan.roll_drops(kind, mids[:stop], amounts[:stop],
+                                          self._rounds_charged)
+                if drop is not None:
+                    stop = i
+                    err = MessageLoss(int(mids[i]), kind, float(amounts[i]))
+        if stop < n:
+            mids, amounts = mids[:stop], amounts[:stop]
+        phase = self.current_phase
         v.dirty[mids] = True
-        phase_arr = v.phase_cycles(self.current_phase)
-        np.add.at(v.round_cycles, mids, cycles)
-        np.add.at(v.total_cycles, mids, cycles)
-        np.add.at(phase_arr, mids, cycles)
+        if kind == "pim":
+            np.add.at(v.round_cycles, mids, amounts)
+            np.add.at(v.total_cycles, mids, amounts)
+            np.add.at(v.phase_cycles(phase), mids, amounts)
+        else:
+            np.add.at(v.round_words, mids, amounts)
+            np.add.at(v.phase_words(phase), mids, amounts)
+        if self._trace is not None:
+            hook = {"pim": self._trace.on_pim, "send": self._trace.on_send,
+                    "recv": self._trace.on_recv}[kind]
+            for mid, amount in zip(mids.tolist(), amounts.tolist()):
+                hook(phase, mid, amount)
+        if drop is not None:
+            self._notify_fault(drop)
+        if err is not None:
+            raise err
 
-    def _transfer_array(self, direction: str, mids, words) -> None:
-        mids, words = self._as_charge_arrays(mids, words)
-        if mids.size == 0:
-            return
-        v = self._vec
-        drops_armed = (self._faults is not None
-                       and self._faults.drop_rate > 0.0
-                       and not self._faults.paused)
-        if v is None or self._trace is not None or self._dead or drops_armed:
-            # Element-by-element: preserves per-transfer drop-RNG order,
-            # exact ModuleFailure raise points, and per-charge tracing.
-            scalar = self.send if direction == "send" else self.recv
-            for mid, w in zip(mids.tolist(), words.tolist()):
-                scalar(mid, w)
-            return
-        if not self._in_round:
-            raise RuntimeError("PIM activity is only legal inside a BSP round")
-        v.dirty[mids] = True
-        acc = v.round_recv_words if direction == "send" else v.round_send_words
-        np.add.at(acc, mids, words)
-        np.add.at(v.phase_words(self.current_phase), mids, words)
+    def charge_pim_array(self, mids, cycles) -> None:
+        """Charge PIM cycles on many modules from parallel arrays."""
+        self._book_array("pim", mids, cycles)
 
     def send_array(self, mids, words) -> None:
         """CPU → module transfers from parallel (mids, words) arrays."""
-        self._transfer_array("send", mids, words)
+        self._book_array("send", mids, words)
 
     def recv_array(self, mids, words) -> None:
         """Module → CPU transfers from parallel (mids, words) arrays."""
-        self._transfer_array("recv", mids, words)
-
-    # -- dict-keyed bulk wrappers ---------------------------------------
-    def charge_pim_bulk(self, cycles_by_mid: dict) -> None:
-        """Charge PIM cycles on many modules, one call per round.
-
-        ``cycles_by_mid`` maps module id → total cycles; each module's
-        round accumulator receives one aggregated increment, which is
-        byte-identical to charging the same total element by element
-        (integer-valued charges sum exactly in float64).
-        """
-        n = len(cycles_by_mid)
-        if not n:
-            return
-        self.charge_pim_array(
-            np.fromiter(cycles_by_mid.keys(), dtype=np.intp, count=n),
-            np.fromiter(cycles_by_mid.values(), dtype=np.float64, count=n),
-        )
+        self._book_array("recv", mids, words)
 
     def send_bulk(self, words_by_mid: dict) -> None:
-        """CPU → module transfers to many modules in the current round."""
+        """CPU → module transfers keyed by module id (dict order)."""
         n = len(words_by_mid)
         if not n:
             return
         self.send_array(
-            np.fromiter(words_by_mid.keys(), dtype=np.intp, count=n),
-            np.fromiter(words_by_mid.values(), dtype=np.float64, count=n),
-        )
-
-    def recv_bulk(self, words_by_mid: dict) -> None:
-        """Module → CPU transfers from many modules in the current round."""
-        n = len(words_by_mid)
-        if not n:
-            return
-        self.recv_array(
             np.fromiter(words_by_mid.keys(), dtype=np.intp, count=n),
             np.fromiter(words_by_mid.values(), dtype=np.float64, count=n),
         )
@@ -969,36 +832,22 @@ class PIMSystem:
     # residency / reporting
     # ------------------------------------------------------------------
     def master_words(self) -> float:
-        if self._vec is not None:
-            return float(self._vec.master_words.sum())
-        return sum(m.master_words for m in self.modules)
+        return float(self._vec.master_words.sum())
 
     def cache_words(self) -> float:
-        if self._vec is not None:
-            return float(self._vec.cache_words.sum())
-        return sum(m.cache_words for m in self.modules)
+        return float(self._vec.cache_words.sum())
 
     def used_words(self) -> float:
-        if self._vec is not None:
-            return float(self._vec.master_words.sum()
-                         + self._vec.cache_words.sum())
-        return sum(m.used_words for m in self.modules)
+        return float(self._vec.master_words.sum()
+                     + self._vec.cache_words.sum())
 
     def module_loads(self) -> np.ndarray:
         """Cumulative PIM cycles per module (load-balance inspection)."""
-        if self._vec is not None:
-            return self._vec.total_cycles.copy()
-        return np.array([m.total_cycles for m in self.modules])
+        return self._vec.total_cycles.copy()
 
     def residency(self) -> np.ndarray:
         """Words resident per module."""
-        if self._vec is not None:
-            return self._vec.master_words + self._vec.cache_words
-        return np.array([m.used_words for m in self.modules])
+        return self._vec.master_words + self._vec.cache_words
 
     def snapshot(self) -> PIMStats:
         return self.stats.snapshot()
-
-    def reset_measurement(self) -> PIMStats:
-        """Snapshot used by the harness to measure a phase: ``end.diff(start)``."""
-        return self.snapshot()

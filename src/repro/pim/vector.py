@@ -1,34 +1,48 @@
-"""Array-backed per-module state: the vector simulator core.
+"""Array-backed per-module state of the PIM simulator.
 
-``sim_mode="vector"`` replaces the P ``PIMModule`` objects with a single
-:class:`VectorState` holding one NumPy array per counter, indexed by
-module id.  Per-round phase attribution keeps the same charge-time
-semantics as the scalar path: one lazily created float64 array per phase
-label active in the current round (``round_phase_cycles`` /
-``round_phase_words``), cleared at round close.
+:class:`VectorState` holds one NumPy array per counter, indexed by module
+id.  Per-round phase attribution is charge-time: one lazily created
+float64 array per phase label active in the current round
+(``round_phase_cycles`` / ``round_phase_words``), cleared at round close.
 
 Every charge the simulator books is integer-valued (the contract the
-vectorized exec layer already relies on), so float64 array sums are
-exact and order-independent — the vector core's round bookings are
-byte-identical to the scalar oracle's sequential accumulation.
+vectorized exec layer relies on), so float64 array sums are exact and
+order-independent: booking a batch of charges with one ``np.add.at`` is
+byte-identical to booking them one at a time.
 
 Call sites outside ``repro.pim`` never see the arrays directly: they
-read and mutate residency through ``PIMSystem.modules``, which in vector
-mode is a list of :class:`ModuleView` proxies whose attributes are
-views onto the shared arrays.  The proxy implements the full
-``PIMModule`` surface (residency alloc/free with the same clamp
-semantics, capacity pressure, ``failed``, the round accumulators), so
-``tree.refresh_residency``, the balance planner, introspection and
-decommissioning run unchanged in either mode.
+read and mutate residency through ``PIMSystem.modules``, a list of
+:class:`ModuleView` proxies whose attributes are views onto the shared
+arrays (residency alloc/free with the clamp semantics of
+:func:`_checked_free`, capacity pressure, ``failed``, cumulative cycles).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .module import _checked_free
-
 __all__ = ["VectorState", "ModuleView"]
+
+_FREE_TOLERANCE = 1e-9
+
+
+def _checked_free(current: float, words: float, mid: int, kind: str) -> float:
+    """Residency after freeing ``words``, clamped to exactly 0.0.
+
+    A free is allowed to miss zero by at most ``_FREE_TOLERANCE`` in
+    either direction (float drift from repeated fractional alloc/free
+    cycles); within the tolerance the residual is snapped to exactly
+    0.0 rather than kept, so drift cannot accumulate across many
+    migration/failover rounds and poison ``used_words`` or the Gini
+    residency signals.  A larger undershoot is a real accounting bug
+    and raises.
+    """
+    remaining = current - words
+    if remaining < -_FREE_TOLERANCE:
+        raise RuntimeError(f"module {mid}: {kind} residency negative")
+    if remaining <= _FREE_TOLERANCE:
+        remaining = 0.0
+    return remaining
 
 
 class VectorState:
@@ -40,8 +54,7 @@ class VectorState:
         "pressure_cb",
         "total_cycles",
         "round_cycles",
-        "round_send_words",
-        "round_recv_words",
+        "round_words",
         "master_words",
         "cache_words",
         "failed",
@@ -54,20 +67,21 @@ class VectorState:
     def __init__(self, n: int, capacity_words: int | None = None) -> None:
         self.n = int(n)
         # Per-module capacity (None = unlimited), a plain list so tests
-        # and the planner can override a single module's budget exactly
-        # as they would set PIMModule.capacity_words.
+        # and the planner can override a single module's budget.
         self.capacity_words: list = [capacity_words] * int(n)
-        self.pressure_cb = None  # set by the owning PIMSystem
+        # Capacity-pressure callback, set by the owning PIMSystem: invoked
+        # (with the module's view) the moment an allocation crosses its
+        # capacity.
+        self.pressure_cb = None
         self.total_cycles = np.zeros(n, dtype=np.float64)
         self.round_cycles = np.zeros(n, dtype=np.float64)
-        self.round_send_words = np.zeros(n, dtype=np.float64)
-        self.round_recv_words = np.zeros(n, dtype=np.float64)
+        # Words moved CPU<->module this round, both directions together
+        # (the bottleneck link carries the sum).
+        self.round_words = np.zeros(n, dtype=np.float64)
         self.master_words = np.zeros(n, dtype=np.float64)
         self.cache_words = np.zeros(n, dtype=np.float64)
         self.failed = np.zeros(n, dtype=bool)
-        # Modules touched by the *array* entry points this round (the
-        # scalar entry points keep using PIMSystem._round_dirty); the
-        # round close unions the two.  A mask beats a Python set here:
+        # Modules charged this round.  A mask beats a Python set here:
         # marking 2048 modules is one fancy-index store, not 2048 hashes.
         self.dirty = np.zeros(n, dtype=bool)
         # Charge-time phase attribution for the current round: one array
@@ -94,15 +108,14 @@ class VectorState:
     def reset_round(self, mids: np.ndarray) -> None:
         """Clear the round accumulators of the modules in ``mids``."""
         self.round_cycles[mids] = 0.0
-        self.round_send_words[mids] = 0.0
-        self.round_recv_words[mids] = 0.0
+        self.round_words[mids] = 0.0
         self.dirty[mids] = False
         self.round_phase_cycles.clear()
         self.round_phase_words.clear()
 
 
 class ModuleView:
-    """``PIMModule``-compatible proxy over one slot of a VectorState."""
+    """Per-module proxy over one slot of a VectorState."""
 
     __slots__ = ("_v", "mid")
 
@@ -128,37 +141,6 @@ class ModuleView:
         self._v.total_cycles[self.mid] = value
 
     @property
-    def round_cycles(self) -> float:
-        return float(self._v.round_cycles[self.mid])
-
-    @round_cycles.setter
-    def round_cycles(self, value: float) -> None:
-        self._v.round_cycles[self.mid] = value
-
-    @property
-    def round_send_words(self) -> float:
-        return float(self._v.round_send_words[self.mid])
-
-    @round_send_words.setter
-    def round_send_words(self, value: float) -> None:
-        self._v.round_send_words[self.mid] = value
-
-    @property
-    def round_recv_words(self) -> float:
-        return float(self._v.round_recv_words[self.mid])
-
-    @round_recv_words.setter
-    def round_recv_words(self, value: float) -> None:
-        self._v.round_recv_words[self.mid] = value
-
-    @property
-    def round_words(self) -> float:
-        return float(
-            self._v.round_send_words[self.mid]
-            + self._v.round_recv_words[self.mid]
-        )
-
-    @property
     def failed(self) -> bool:
         return bool(self._v.failed[self.mid])
 
@@ -173,23 +155,6 @@ class ModuleView:
     @pressure_cb.setter
     def pressure_cb(self, cb) -> None:
         self._v.pressure_cb = cb
-
-    # -- execution ------------------------------------------------------
-    def charge(self, cycles: float, phase: str = "other") -> None:
-        v, mid = self._v, self.mid
-        v.round_cycles[mid] += cycles
-        v.total_cycles[mid] += cycles
-        v.phase_cycles(phase)[mid] += cycles
-
-    def add_recv(self, words: float, phase: str = "other") -> None:
-        v, mid = self._v, self.mid
-        v.round_recv_words[mid] += words
-        v.phase_words(phase)[mid] += words
-
-    def add_send(self, words: float, phase: str = "other") -> None:
-        v, mid = self._v, self.mid
-        v.round_send_words[mid] += words
-        v.phase_words(phase)[mid] += words
 
     # -- memory residency -----------------------------------------------
     @property
@@ -235,8 +200,8 @@ class ModuleView:
         )
 
     def _check_pressure(self, delta: float) -> None:
-        # Same onset semantics as PIMModule._check_pressure: only the
-        # allocation that crosses capacity fires the callback.
+        # Only the allocation that crosses capacity fires the callback,
+        # so the event stream marks pressure onsets, not a steady drone.
         v = self._v
         cap = v.capacity_words[self.mid]
         if (v.pressure_cb is not None

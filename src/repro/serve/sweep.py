@@ -123,7 +123,7 @@ def run_shard(spec: dict) -> dict:
 
     ``spec`` keys: dataset, n, n_modules, index, variant kwargs are
     implicit in index kind, seed, requests, rate, mix, k, deadline_s,
-    queue_depth, overflow, policy, fixed_batch, sim_mode, exec_mode,
+    queue_depth, overflow, policy, fixed_batch, exec_mode,
     arrival, tenants (optional tenant→weight dict: tags requests and
     turns the queue weighted-fair), tune_config (optional resolved
     ``repro.tune`` config dict — the shard then builds its policy,
@@ -160,16 +160,14 @@ def run_shard(spec: dict) -> dict:
             n_modules=int(spec["n_modules"]))
         adapter = make_adapter(
             spec.get("index", "pim"), data, n_modules=int(spec["n_modules"]),
-            seed=seed, sim_mode=spec.get("sim_mode"),
-            exec_mode=spec.get("exec_mode"), config=idx_cfg)
+            seed=seed, exec_mode=spec.get("exec_mode"), config=idx_cfg)
         parts = apply_serving_config(adapter, tune_config, filter_seed=seed)
         policy = parts["policy"]
         rebalancer = parts["rebalancer"]
     else:
         adapter = make_adapter(
             spec.get("index", "pim"), data, n_modules=int(spec["n_modules"]),
-            seed=seed, sim_mode=spec.get("sim_mode"),
-            exec_mode=spec.get("exec_mode"))
+            seed=seed, exec_mode=spec.get("exec_mode"))
         policy = (FixedBatchPolicy(int(spec.get("fixed_batch", 256)))
                   if spec.get("policy") == "fixed" else AdaptiveBatchPolicy())
     loop = ServeLoop(
@@ -271,7 +269,6 @@ def run_sweep(
     overflow: str = "reject",
     policy: str = "adaptive",
     fixed_batch: int = 256,
-    sim_mode: str | None = None,
     exec_mode: str | None = None,
     arrival: str = "poisson",
     tenants: dict[str, float] | None = None,
@@ -299,7 +296,7 @@ def run_sweep(
         "deadline_s": float(deadline_s),
         "queue_depth": int(queue_depth), "overflow": overflow,
         "policy": policy, "fixed_batch": int(fixed_batch),
-        "sim_mode": sim_mode, "exec_mode": exec_mode,
+        "exec_mode": exec_mode,
         "arrival": arrival, "tenants": tenants,
         "tune_config": tune_config,
     }

@@ -158,7 +158,6 @@ def recover(backend, *, tracer=None, cost_model=None, validate=True
         module_capacity_words=cap0,
         seed=int(sysman["seed"]),
         tracer=tracer,
-        sim_mode=sysman["sim_mode"],
     )
     if cap0 is not None:
         # Restore per-module capacities exactly (init wired pressure_cb).

@@ -16,7 +16,7 @@ A snapshot is three kinds of artifact in the backend:
 * **the manifest** — canonical JSON naming the blob set plus everything
   needed to rebuild the machine: config fields, Morton codec parameters,
   tree counters (``_next_nid``, ``_batch_counter``, route salt), system
-  parameters (P, seed, sim_mode, LLC bytes, per-module capacities), the
+  parameters (P, seed, LLC bytes, per-module capacities), the
   dead-module set, placement overrides, and the WAL sequence number the
   snapshot covers.  The manifest carries a CRC32 of its own canonical
   encoding; every blob it references is verified against its hash at
@@ -44,7 +44,9 @@ from .errors import SnapshotCorruption
 
 __all__ = ["SnapshotImage", "encode_tree", "decode_tree", "SnapshotStore"]
 
-MANIFEST_VERSION = 1
+# Version 2 dropped version 1's simulator-core fields; older manifests
+# are refused on load.
+MANIFEST_VERSION = 2
 
 # nid, prefix, depth, flags, layer, count, sc, delta, meta_idx
 _NODE = struct.Struct("<QQHBBqqqi")
@@ -168,7 +170,6 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
             "direct_api": tree.config.direct_api,
             "push_pull": tree.config.push_pull,
             "exec_mode": tree.config.exec_mode,
-            "sim_mode": tree.config.sim_mode,
         },
         "codec": {
             "lo": [float(x) for x in np.asarray(tree.codec.lo).ravel()],
@@ -179,7 +180,6 @@ def encode_tree(tree, *, wal_seq: int = 0) -> SnapshotImage:
         "system": {
             "n_modules": int(sys.n_modules),
             "seed": int(sys.seed),
-            "sim_mode": sys.sim_mode,
             "llc_bytes": int(sys.llc.capacity_blocks * 64),
             "dead_modules": sorted(int(m) for m in sys.dead_modules),
             "placement_overrides": {
@@ -461,6 +461,10 @@ class SnapshotStore:
             manifest = json.loads(manifest_bytes)
         except ValueError as e:
             raise SnapshotCorruption(f"manifest is not valid JSON: {e}") from e
+        if manifest.get("version") != MANIFEST_VERSION:
+            raise SnapshotCorruption(
+                f"unsupported snapshot version {manifest.get('version')!r}"
+            )
         if _manifest_checksum(manifest) != manifest.get("checksum"):
             raise SnapshotCorruption("manifest checksum mismatch")
         try:

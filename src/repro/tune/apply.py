@@ -46,7 +46,7 @@ def make_policy(config: dict):
 
 
 def make_index_config(config: dict, *, kind: str, n_points: int,
-                      n_modules: int, sim_mode: str | None = None):
+                      n_modules: int):
     """Index config carrying the push-pull trigger, or ``None``.
 
     Returns ``None`` when every index-level knob sits at its default so
@@ -64,8 +64,6 @@ def make_index_config(config: dict, *, kind: str, n_points: int,
     else:
         cfg = throughput_optimized(n_points, n_modules,
                                    pull_imbalance_factor=pf)
-    if sim_mode is not None:
-        cfg = cfg.with_overrides(sim_mode=sim_mode)
     return cfg
 
 

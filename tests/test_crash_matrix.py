@@ -248,6 +248,30 @@ def test_snapshot_manifest_tamper_refuses(tmp_path):
     backend.close()
 
 
+def test_version1_manifest_refused(tmp_path):
+    """A well-formed version-1 manifest (checksum valid, with the
+    simulator-core fields version 2 dropped) is refused with the typed
+    error before any machine is rebuilt."""
+    import json
+
+    from repro.store.snapshot import _manifest_checksum
+
+    tree = PIMZdTree(uniform_points(80, 3, seed=SEED),
+                     system=PIMSystem(N_MODULES, seed=SEED))
+    backend = open_backend("file", tmp_path / "s")
+    DurableStore(backend).attach(tree)
+    man = json.loads(backend.get_manifest())
+    assert man["version"] == 2
+    man["version"] = 1
+    man["config"]["sim_mode"] = "vector"
+    man["system"]["sim_mode"] = "vector"
+    man["checksum"] = _manifest_checksum(man)
+    backend.put_manifest(json.dumps(man).encode())
+    with pytest.raises(SnapshotCorruption, match="unsupported snapshot version 1"):
+        recover(backend)
+    backend.close()
+
+
 def test_module_crash_then_machine_kill_composes(tmp_path):
     """PR 4 fault plans compose: failover record + kill + checkpoint race.
 

@@ -56,11 +56,10 @@ def _build_inputs(dims: int, seed: int, dup: bool, skew: bool):
     return pts, q, boxes, fresh, dele
 
 
-def _run_mode(mode: str, variant: str, pts, q, boxes, fresh, dele, k: int,
-              sim_mode: str | None = None):
+def _run_mode(mode: str, variant: str, pts, q, boxes, fresh, dele, k: int):
     """The full op mix in one exec mode; returns comparable results + stats."""
     ad = PIMZdTreeAdapter(pts, n_modules=8, variant=variant, seed=3,
-                          exec_mode=mode, sim_mode=sim_mode)
+                          exec_mode=mode)
     tree = ad.tree
     out = {}
     out["search"] = [
@@ -133,41 +132,6 @@ def test_exec_modes_are_differentially_identical(dims, seed, dup, skew,
                                    fresh, dele, k)
     vec_out, vec_stats = _run_mode("vectorized", variant, pts.copy(), q, boxes,
                                    fresh, dele, k)
-    for key in ref_out:
-        _assert_equal(ref_out[key], vec_out[key], key)
-    assert_stats_identical(ref_stats, vec_stats)
-
-
-@settings(
-    max_examples=8,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    dims=DIMS,
-    seed=st.integers(0, 2**16 - 1),
-    dup=st.booleans(),
-    skew=st.booleans(),
-    variant=VARIANTS,
-    k=st.sampled_from([1, 5, 16]),
-)
-@example(dims=2, seed=0, dup=True, skew=True, variant="skew", k=5)
-@example(dims=3, seed=1, dup=False, skew=True, variant="throughput", k=1)
-def test_sim_modes_are_differentially_identical(dims, seed, dup, skew,
-                                                variant, k):
-    """Both simulator cores under the full index workload.
-
-    The fully scalar oracle (reference exec + scalar sim) and the fully
-    vectorized stack (vectorized exec + vector sim) must agree on every
-    result and every PIMStats counter — the two orthogonal fast layers
-    compose without breaking counter-exactness.
-    """
-    pts, q, boxes, fresh, dele = _build_inputs(dims, seed, dup, skew)
-    ref_out, ref_stats = _run_mode("reference", variant, pts.copy(), q, boxes,
-                                   fresh, dele, k, sim_mode="scalar")
-    vec_out, vec_stats = _run_mode("vectorized", variant, pts.copy(), q, boxes,
-                                   fresh, dele, k, sim_mode="vector")
     for key in ref_out:
         _assert_equal(ref_out[key], vec_out[key], key)
     assert_stats_identical(ref_stats, vec_stats)

@@ -27,6 +27,7 @@ from repro.balance import (
 )
 from repro.core import PIMZdTree
 from repro.eval.harness import PIMZdTreeAdapter
+from repro.obs import TraceCollector
 from repro.pim import PIMSystem
 from repro.replicate import ReplicaSet, ReplicationConfig, WRITE_POLICIES
 from repro.serve import AdmissionQueue, make_requests, serve
@@ -543,7 +544,7 @@ class TestServeIntegration:
 
 
 # ----------------------------------------------------------------------
-# inert guarantees + sim-mode identity
+# inert guarantees + traced/untraced identity
 # ----------------------------------------------------------------------
 class TestByteIdentity:
     def _workload(self, tree, data):
@@ -563,18 +564,22 @@ class TestByteIdentity:
 
         assert run(False) == run(True)
 
-    def test_scalar_vector_identical_with_replication_on(self):
+    def test_traced_untraced_identical_with_replication_on(self):
+        """A tracer on the replicated, failed-over stack moves no counter,
+        and its round records reconcile with the stats exactly."""
         data = uniform_points(500, 3, seed=SEED)
 
-        def run(sim_mode):
-            ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED,
-                                  sim_mode=sim_mode)
+        def run(tracer):
+            ad = PIMZdTreeAdapter(data, n_modules=P, seed=SEED, tracer=tracer)
             ReplicaSet(ad.tree, ReplicationConfig(k=2)).replicate_all()
             self._workload(ad.tree, data)
+            ad.system.kill_module(1)
             ad.tree.fail_over(1)
-            return ad.system.stats.to_dict(), registry_of(ad.tree)
+            return ad.system.stats, registry_of(ad.tree)
 
-        s_stats, s_reg = run("scalar")
-        v_stats, v_reg = run("vector")
-        assert s_stats == v_stats
-        assert s_reg == v_reg
+        tracer = TraceCollector()
+        u_stats, u_reg = run(None)
+        t_stats, t_reg = run(tracer)
+        assert u_stats.to_dict() == t_stats.to_dict()
+        assert u_reg == t_reg
+        assert tracer.timeline.reconcile(t_stats) == []

@@ -1,52 +1,27 @@
-"""Differential oracle for the simulator cores: scalar vs. vector sim_mode.
-
-The array-backed vector core (``repro.pim.vector``) must be a byte-exact
-drop-in for the per-module scalar oracle: for any charging script — scalar
-calls, dict-keyed bulk calls, array-native calls, phases, zero amounts,
-faults — both ``sim_mode="scalar"`` and ``sim_mode="vector"`` must produce
-byte-identical :class:`repro.pim.stats.PIMStats`.
-
-Also locks down the PR's scalar-path bugfixes:
+"""Simulator-core unit tests: edge cases of charging and residency.
 
 * zero-charge unification — ``charge_pim``/``send``/``recv`` with a zero
-  amount are complete no-ops, matching the bulk/array entry points;
+  amount are complete no-ops, matching the array entry points;
 * residency clamp — ``free_master``/``free_cache`` snap a within-tolerance
   negative residual to exactly 0.0 (drift cannot accumulate);
 * broadcast fan-out atomicity — a drop mid-broadcast no longer leaves
   later modules silently unsent;
-* ``HotnessTracker.transfer`` guards (self-transfer, dead destination).
+* ``HotnessTracker.transfer`` guards (self-transfer, dead destination);
+* the ``ModuleView`` proxy surface;
+* round-booking edge cases: straggler tie-break, decommission, loads.
+
+The round-booking oracle and the entry-point differentials live in
+``tests/test_sim_core.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.balance import HotnessTracker
 from repro.faults import FaultPlan, MessageLoss
 from repro.pim import PIMSystem
-
-pytestmark = []
-
-
-def both_systems(n=4, **kw):
-    return (PIMSystem(n, sim_mode="scalar", **kw),
-            PIMSystem(n, sim_mode="vector", **kw))
-
-
-def assert_stats_identical(scalar: PIMSystem, vector: PIMSystem) -> None:
-    a, b = scalar.stats, vector.stats
-    if a == b:
-        assert a.to_dict() == b.to_dict()
-        return
-    lines = [f"total:\n  scalar={a.total}\n  vector={b.total}"]
-    for lab in sorted(set(a.phases) | set(b.phases)):
-        pa, pb = a.phases.get(lab), b.phases.get(lab)
-        if pa != pb:
-            lines.append(f"phase {lab}:\n  scalar={pa}\n  vector={pb}")
-    raise AssertionError("sim modes diverge:\n" + "\n".join(lines))
 
 
 # ======================================================================
@@ -54,24 +29,23 @@ def assert_stats_identical(scalar: PIMSystem, vector: PIMSystem) -> None:
 # ======================================================================
 class TestZeroChargeSemantics:
     def test_zero_scalar_charges_book_nothing(self):
-        for mode in ("scalar", "vector"):
-            sys = PIMSystem(4, sim_mode=mode)
-            before = sys.snapshot()
-            with sys.round():
-                sys.charge_pim(0, 0)
-                sys.send(1, 0.0)
-                sys.recv(2, 0)
-            d = sys.stats.diff(before).total
-            assert d.rounds == 0, mode
-            assert sys.stats.mux_switches == 0, mode
-            assert d.pim_cycles == 0 and d.comm_words == 0, mode
+        sys = PIMSystem(4)
+        before = sys.snapshot()
+        with sys.round():
+            sys.charge_pim(0, 0)
+            sys.send(1, 0.0)
+            sys.recv(2, 0)
+        d = sys.stats.diff(before).total
+        assert d.rounds == 0
+        assert sys.stats.mux_switches == 0
+        assert d.pim_cycles == 0 and d.comm_words == 0
 
     def test_scalar_vs_bulk_identical_with_zeros(self):
-        """The regression the tentpole gated on: zeros through the scalar
-        entry points must book exactly what the bulk path books."""
+        """Zeros through the per-element entry points must book exactly
+        what the array and dict-keyed entry points book."""
         script = [(0, 10.0), (1, 0.0), (2, 7.0), (3, 0.0), (0, 0.0), (2, 3.0)]
-        a = PIMSystem(4, sim_mode="scalar")
-        b = PIMSystem(4, sim_mode="scalar")
+        a = PIMSystem(4)
+        b = PIMSystem(4)
         with a.round():
             for mid, amt in script:
                 a.charge_pim(mid, amt)
@@ -79,9 +53,9 @@ class TestZeroChargeSemantics:
                 a.recv(mid, amt * 2)
         with b.round():
             for mid, amt in script:
-                b.charge_pim_bulk({mid: amt})
+                b.charge_pim_array([mid], [amt])
                 b.send_bulk({mid: amt})
-                b.recv_bulk({mid: amt * 2})
+                b.recv_array([mid], amt * 2)
         assert a.stats == b.stats
         assert a.stats.to_dict() == b.stats.to_dict()
 
@@ -119,39 +93,52 @@ class TestZeroChargeSemantics:
 # residency clamp (bugfix)
 # ======================================================================
 class TestResidencyClamp:
-    @pytest.mark.parametrize("mode", ["scalar", "vector"])
-    def test_drift_clamps_to_exact_zero(self, mode):
-        sys = PIMSystem(2, sim_mode=mode)
+    """Each case runs with plain Python float amounts ("scalar") and with
+    ``np.float64`` amounts taken from an array ("vector"), the two kinds
+    of value callers hand the residency counters."""
+
+    @staticmethod
+    def _amounts(kind, *values):
+        if kind == "scalar":
+            return tuple(float(v) for v in values)
+        return tuple(np.asarray(values, dtype=np.float64))
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_drift_clamps_to_exact_zero(self, kind):
+        sys = PIMSystem(2)
         m = sys.modules[0]
+        (tenth,) = self._amounts(kind, 0.1)
         # 0.1 is inexact in binary; ten allocs/frees drift below zero by
         # ~1e-17 — within tolerance, so the residual must snap to 0.0.
         for _ in range(10):
-            m.alloc_master(0.1)
-            m.alloc_cache(0.1)
+            m.alloc_master(tenth)
+            m.alloc_cache(tenth)
         for _ in range(10):
-            m.free_master(0.1)
-            m.free_cache(0.1)
+            m.free_master(tenth)
+            m.free_cache(tenth)
         assert m.master_words == 0.0
         assert m.cache_words == 0.0
         assert m.used_words == 0.0
 
-    @pytest.mark.parametrize("mode", ["scalar", "vector"])
-    def test_drift_does_not_accumulate_across_cycles(self, mode):
-        sys = PIMSystem(2, sim_mode=mode)
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_drift_does_not_accumulate_across_cycles(self, kind):
+        sys = PIMSystem(2)
         m = sys.modules[1]
+        a, b, c = self._amounts(kind, 0.3, 0.1, 0.2)
         for _ in range(500):
-            m.alloc_master(0.3)
-            m.free_master(0.1)
-            m.free_master(0.2)
+            m.alloc_master(a)
+            m.free_master(b)
+            m.free_master(c)
         assert m.master_words == 0.0
 
-    @pytest.mark.parametrize("mode", ["scalar", "vector"])
-    def test_real_negative_still_raises(self, mode):
-        sys = PIMSystem(2, sim_mode=mode)
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_real_negative_still_raises(self, kind):
+        sys = PIMSystem(2)
+        one, half = self._amounts(kind, 1.0, 0.5)
         with pytest.raises(RuntimeError):
-            sys.modules[0].free_master(1.0)
+            sys.modules[0].free_master(one)
         with pytest.raises(RuntimeError):
-            sys.modules[0].free_cache(0.5)
+            sys.modules[0].free_cache(half)
 
 
 # ======================================================================
@@ -253,35 +240,29 @@ class TestTransferGuards:
 # ModuleView proxy surface (direct unit coverage)
 # ======================================================================
 class TestModuleViewSurface:
-    """The vector-mode ``ModuleView`` writes through to shared state.
+    """The ``ModuleView`` proxy writes through to shared state.
 
-    Every ``PIMModule``-compatible attribute the proxy exposes — counter
-    setters, ``failed``, per-module capacity, the pressure callback —
-    must mutate the one underlying :class:`VectorState`, visible from a
-    *fresh* view handle and from the arrays themselves; and the derived
-    read-only properties and pressure-onset semantics must match the
-    scalar module exactly.
+    Every attribute the proxy exposes — counter setters, ``failed``,
+    per-module capacity, the pressure callback — must mutate the one
+    underlying :class:`VectorState`, visible from a *fresh* view handle
+    and from the arrays themselves; and the derived read-only properties
+    and pressure-onset semantics must match a plain-float reference.
     """
 
     def _view(self, n=4, mid=1, **kw):
-        sys = PIMSystem(n, sim_mode="vector", **kw)
+        sys = PIMSystem(n, **kw)
         return sys, sys.modules[mid]
 
     def test_counter_setters_write_through(self):
         sys, m = self._view()
         m.total_cycles = 12.0
-        m.round_cycles = 5.0
-        m.round_send_words = 3.0
-        m.round_recv_words = 4.0
         m.master_words = 20.0
         m.cache_words = 6.0
         # A fresh handle over the same slot sees every write...
         f = sys.modules[1]
-        assert f.total_cycles == 12.0 and f.round_cycles == 5.0
-        assert f.round_send_words == 3.0 and f.round_recv_words == 4.0
+        assert f.total_cycles == 12.0
         assert f.master_words == 20.0 and f.cache_words == 6.0
         # ...derived read-only properties recompute from the arrays...
-        assert f.round_words == 7.0
         assert f.used_words == 26.0
         # ...and the neighbouring slots are untouched.
         for other in (0, 2, 3):
@@ -292,7 +273,7 @@ class TestModuleViewSurface:
         _, m = self._view()
         m.total_cycles = np.float64(8.0)
         assert type(m.total_cycles) is float
-        assert type(m.round_words) is float
+        assert type(m.master_words) is float
         assert type(m.used_words) is float
 
     def test_failed_setter_coerces_to_bool(self):
@@ -336,204 +317,80 @@ class TestModuleViewSurface:
         assert fired == [1, 1]
 
     def test_pressure_parity_with_scalar(self):
-        """The same alloc/free script fires the same onsets in both modes."""
+        """The view fires exactly the onsets a plain-float model predicts."""
         script = [("alloc_master", 6), ("alloc_cache", 3), ("alloc_cache", 4),
                   ("free_master", 6), ("alloc_master", 2), ("alloc_master", 9)]
-        onsets = {}
-        for mode in ("scalar", "vector"):
-            sys = PIMSystem(2, sim_mode=mode, module_capacity_words=12)
-            m = sys.modules[0]
-            fired: list = []
-            m.pressure_cb = lambda mod: fired.append(
-                (mod.mid, mod.used_words))
-            for verb, words in script:
-                getattr(m, verb)(words)
-            onsets[mode] = fired
-        assert onsets["scalar"] == onsets["vector"]
-        assert len(onsets["scalar"]) == 2  # crossed, receded, crossed again
+        cap, used, expected = 12, 0.0, []
+        for verb, words in script:
+            before = used
+            used += words if verb.startswith("alloc") else -words
+            if verb.startswith("alloc") and used > cap >= before:
+                expected.append((0, used))
+        sys = PIMSystem(2, module_capacity_words=cap)
+        m = sys.modules[0]
+        fired: list = []
+        m.pressure_cb = lambda mod: fired.append((mod.mid, mod.used_words))
+        for verb, words in script:
+            getattr(m, verb)(words)
+        assert fired == expected
+        assert len(fired) == 2  # crossed, receded, crossed again
 
     def test_charge_and_comm_hit_shared_arrays(self):
         sys, m = self._view()
         with sys.round():
-            m.charge(9.0, phase="build")
-            m.add_send(2.0, phase="build")
-            m.add_recv(3.0, phase="build")
-            assert sys.modules[1].round_cycles == 9.0
-            assert sys.modules[1].round_words == 5.0
+            with sys.phase("build"):
+                sys.charge_pim(1, 9.0)
+                sys.send(1, 2.0)
+                sys.recv(1, 3.0)
+            assert m.total_cycles == 9.0
+            assert sys._vec.round_cycles[1] == 9.0
+            assert sys._vec.round_words[1] == 5.0
         assert sys.modules[1].total_cycles == 9.0
+        assert sys._vec.round_words[1] == 0.0  # cleared at round close
+        assert sys.stats.phases["build"].comm_words == 5.0
 
 
 # ======================================================================
-# scalar vs vector differential
+# round-booking edge cases
 # ======================================================================
-VERBS = st.sampled_from(["pim", "send", "recv", "bulk_pim", "bulk_send",
-                         "bulk_recv", "arr_pim", "arr_send", "arr_recv",
-                         "flat"])
-PHASES = st.sampled_from(["build", "query", "update", "other"])
-AMOUNTS = st.integers(0, 40)  # zeros included on purpose
-
-
-@st.composite
-def charge_scripts(draw):
-    n_rounds = draw(st.integers(1, 5))
-    script = []
-    for _ in range(n_rounds):
-        n_ops = draw(st.integers(0, 6))
-        ops = []
-        for _ in range(n_ops):
-            verb = draw(VERBS)
-            phase = draw(PHASES)
-            if verb.startswith(("bulk", "arr")):
-                pairs = draw(st.lists(
-                    st.tuples(st.integers(0, 3), AMOUNTS),
-                    min_size=0, max_size=5))
-                ops.append((verb, phase, pairs))
-            else:
-                ops.append((verb, phase, draw(st.integers(0, 3)),
-                            draw(AMOUNTS)))
-        script.append(ops)
-    return script
-
-
-def _apply_script(sys: PIMSystem, script) -> None:
-    for round_ops in script:
-        with sys.round():
-            for op in round_ops:
-                verb, phase = op[0], op[1]
-                with sys.phase(phase):
-                    if verb == "pim":
-                        sys.charge_pim(op[2], op[3])
-                    elif verb == "send":
-                        sys.send(op[2], op[3])
-                    elif verb == "recv":
-                        sys.recv(op[2], op[3])
-                    elif verb == "flat":
-                        sys.charge_comm_flat(op[3])
-                    elif verb == "bulk_pim":
-                        d = {}
-                        for mid, amt in op[2]:
-                            d[mid] = d.get(mid, 0) + amt
-                        sys.charge_pim_bulk(d)
-                    elif verb == "bulk_send":
-                        d = {}
-                        for mid, amt in op[2]:
-                            d[mid] = d.get(mid, 0) + amt
-                        sys.send_bulk(d)
-                    elif verb == "bulk_recv":
-                        d = {}
-                        for mid, amt in op[2]:
-                            d[mid] = d.get(mid, 0) + amt
-                        sys.recv_bulk(d)
-                    elif op[2]:
-                        mids = np.array([m for m, _ in op[2]], dtype=np.intp)
-                        amts = np.array([a for _, a in op[2]],
-                                        dtype=np.float64)
-                        if verb == "arr_pim":
-                            sys.charge_pim_array(mids, amts)
-                        elif verb == "arr_send":
-                            sys.send_array(mids, amts)
-                        else:
-                            sys.recv_array(mids, amts)
-
-
 class TestSimModeDifferential:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(script=charge_scripts())
-    def test_any_charging_script_is_identical(self, script):
-        scalar, vector = both_systems(4)
-        _apply_script(scalar, script)
-        _apply_script(vector, script)
-        assert_stats_identical(scalar, vector)
-
-    @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(script=charge_scripts(), seed=st.integers(0, 100))
-    def test_identical_under_faults(self, script, seed):
-        plan_kw = dict(seed=seed, drop_rate=0.15, slow_factors={1: 3.0},
-                       storm_rate=0.3, storm_factor=4.0, storm_rounds=2,
-                       crash_rate=0.05, max_crashes=2)
-        scalar, vector = both_systems(
-            4, fault_plan=FaultPlan(**plan_kw))
-        # Re-create the plan per system: each consumes its own RNG stream.
-        vector._faults = FaultPlan(**plan_kw)
-
-        def run(sys):
-            try:
-                _apply_script(sys, script)
-            except Exception as e:  # noqa: BLE001 - faults are the point
-                return type(e).__name__, str(e)
-            return None
-
-        ra, rb = run(scalar), run(vector)
-        assert ra == rb
-        assert_stats_identical(scalar, vector)
-        assert ([e.to_dict() for e in scalar.fault_plan.events]
-                == [e.to_dict() for e in vector.fault_plan.events])
+    """Round-booking edge cases with fixed expected values."""
 
     def test_straggler_tiebreak_matches(self):
-        """Equal round cycles: both modes pick the lowest dirty mid."""
-        scalar, vector = both_systems(4)
-        for sys in (scalar, vector):
-            with sys.round():
-                with sys.phase("a"):
-                    sys.charge_pim(2, 10)
-                with sys.phase("b"):
-                    sys.charge_pim(1, 10)  # tie: mid 1 wins (sorted order)
-        assert_stats_identical(scalar, vector)
-        assert scalar.stats.phases["b"].pim_cycles == 10
+        """Equal round cycles: the lowest charged mid is the straggler."""
+        sys = PIMSystem(4)
+        with sys.round():
+            with sys.phase("a"):
+                sys.charge_pim(2, 10)
+            with sys.phase("b"):
+                sys.charge_pim(1, 10)  # tie: mid 1 wins (sorted order)
+        assert sys.stats.total.pim_cycles == 10
+        assert sys.stats.phases["b"].pim_cycles == 10
         assert "a" not in {
-            ph for ph, c in scalar.stats.phases.items() if c.pim_cycles
+            ph for ph, c in sys.stats.phases.items() if c.pim_cycles
         }
 
     def test_decommission_and_views(self):
-        scalar, vector = both_systems(4)
-        for sys in (scalar, vector):
-            sys.modules[1].alloc_master(50)
-            sys.modules[1].alloc_cache(20)
-            sys.modules[2].alloc_master(30)
-            sys.decommission(1)
-        for sys in (scalar, vector):
-            assert sys.modules[1].failed
-            assert sys.modules[1].used_words == 0.0
-            assert sys.master_words() == 30.0
-            assert sys.used_words() == 30.0
-            assert list(sys.residency()) == [0.0, 0.0, 30.0, 0.0]
+        sys = PIMSystem(4)
+        sys.modules[1].alloc_master(50)
+        sys.modules[1].alloc_cache(20)
+        sys.modules[2].alloc_master(30)
+        sys.decommission(1)
+        assert sys.modules[1].failed
+        assert sys.modules[1].used_words == 0.0
+        assert sys.master_words() == 30.0
+        assert sys.used_words() == 30.0
+        assert list(sys.residency()) == [0.0, 0.0, 30.0, 0.0]
         with pytest.raises(Exception):
-            with vector.round():
-                vector.charge_pim(1, 5)
+            with sys.round():
+                sys.charge_pim(1, 5)
 
     def test_module_loads_shapes(self):
-        scalar, vector = both_systems(3)
-        for sys in (scalar, vector):
-            with sys.round():
-                sys.charge_pim_array(np.array([0, 2]), np.array([7.0, 9.0]))
-        assert np.array_equal(scalar.module_loads(), vector.module_loads())
+        sys = PIMSystem(3)
+        with sys.round():
+            sys.charge_pim_array(np.array([0, 2]), np.array([7.0, 9.0]))
+        assert list(sys.module_loads()) == [7.0, 0.0, 9.0]
         # module_loads returns a copy, not a live view of the core.
-        loads = vector.module_loads()
+        loads = sys.module_loads()
         loads[0] = 999.0
-        assert vector.module_loads()[0] == 7.0
-
-    def test_traced_runs_agree(self):
-        """With a tracer attached the vector core books through the exact
-        per-element path; stats must stay identical and rounds reconcile."""
-        from repro.obs import TraceCollector
-
-        ta, tb = TraceCollector(), TraceCollector()
-        scalar = PIMSystem(4, sim_mode="scalar", tracer=ta)
-        vector = PIMSystem(4, sim_mode="vector", tracer=tb)
-        script = [[("pim", "q", 0, 5), ("send", "q", 1, 3),
-                   ("recv", "u", 0, 2)],
-                  [("bulk_pim", "q", [(0, 4), (3, 9)])]]
-        _apply_script(scalar, script)
-        _apply_script(vector, script)
-        assert_stats_identical(scalar, vector)
-        ra = ta.rounds()
-        rb = tb.rounds()
-        assert len(ra) == len(rb) == 2
-        for x, y in zip(ra, rb):
-            assert x.cycles_by_module == y.cycles_by_module
-            assert x.words_by_module == y.words_by_module
-            assert x.straggler_mid == y.straggler_mid
-
-    def test_invalid_sim_mode_rejected(self):
-        with pytest.raises(ValueError):
-            PIMSystem(2, sim_mode="simd")
+        assert sys.module_loads()[0] == 7.0
