@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core import throughput_optimized
+from ..serve.spec import load_dataset
 from ..workloads import (
     cosmos_like_points,
     osm_like_points,
@@ -46,6 +47,7 @@ __all__ = [
     "run_table2",
     "run_table3",
     "ALL_EXPERIMENTS",
+    "write_report",
 ]
 
 DATASETS: dict[str, Callable] = {
@@ -77,14 +79,6 @@ class ExperimentResult:
         return out
 
 
-def _dataset(name: str, n: int, seed: int) -> np.ndarray:
-    try:
-        gen = DATASETS[name]
-    except KeyError:
-        raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}")
-    return gen(n, 3, seed=seed)
-
-
 # ======================================================================
 # Fig. 5 — the end-to-end comparison
 # ======================================================================
@@ -99,7 +93,7 @@ def run_fig5(
     indexes: Sequence[str] = ("pim", "pkd", "zd"),
 ) -> ExperimentResult:
     """Throughput + per-element traffic for all operations and indexes."""
-    data = _dataset(dataset, n, seed)
+    data = load_dataset(dataset, n, seed)
     gen = DATASETS[dataset]
     counter = {"i": 0}
 
@@ -162,7 +156,7 @@ def run_latency(
     k: int = 1,
 ) -> ExperimentResult:
     """P50/P99 per-batch kNN latency for the three indexes."""
-    data = _dataset(dataset, n, seed)
+    data = load_dataset(dataset, n, seed)
     rows = []
     for kind in ("pim", "pkd", "zd"):
         adapter = make_adapter(kind, data, n_modules=n_modules)
@@ -195,7 +189,7 @@ def run_fig6(
     seed: int = 7,
     ops: Sequence[str] = ("insert", "bc-1", "bc-100", "bf-100", "100-nn"),
 ) -> ExperimentResult:
-    data = _dataset("uniform", n, seed)
+    data = load_dataset("uniform", n, seed)
     adapter = make_adapter("pim", data, n_modules=n_modules)
     sides = {t: calibrate_box_side(data, t, seed=seed) for t in (1, 100)}
     counter = {"i": 0}
@@ -230,7 +224,7 @@ def run_fig7(
     n_modules: int = 64,
     seed: int = 7,
 ) -> ExperimentResult:
-    data = _dataset("uniform", n, seed)
+    data = load_dataset("uniform", n, seed)
     rows = []
     for batch in batch_sizes:
         adapter = make_adapter("pim", data, n_modules=n_modules)
@@ -288,7 +282,7 @@ def run_fig9(
     n_modules: int = 64,
     seed: int = 7,
 ) -> ExperimentResult:
-    data = _dataset("uniform", n, seed)
+    data = load_dataset("uniform", n, seed)
     rows = []
     for variant in ("pim", "pim-skew"):
         adapter = make_adapter(variant, data, n_modules=n_modules)
@@ -318,7 +312,7 @@ def run_table2(
     n_modules: int = 64,
     seed: int = 7,
 ) -> ExperimentResult:
-    data = _dataset("uniform", n, seed)
+    data = load_dataset("uniform", n, seed)
     rng = np.random.default_rng(seed)
     rows = []
     for variant in ("pim", "pim-skew"):
@@ -356,7 +350,7 @@ def run_table3(
     seed: int = 7,
     ops: Sequence[str] = ("insert", "bc-10", "bf-10", "10-nn"),
 ) -> ExperimentResult:
-    data = _dataset("uniform", n, seed)
+    data = load_dataset("uniform", n, seed)
     sides = {10: calibrate_box_side(data, 10, seed=seed)}
     counter = {"i": 0}
 
@@ -407,3 +401,25 @@ ALL_EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "table2": run_table2,
     "table3": run_table3,
 }
+
+
+def write_report(results: Sequence[ExperimentResult], out) -> tuple:
+    """Write ``report.md`` (every table) and ``results.json`` (the raw
+    rows) under directory ``out``; returns both paths."""
+    import json
+    from pathlib import Path
+
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    report, raw = out / "report.md", out / "results.json"
+    with report.open("w") as f:
+        f.write("# PIM-zd-tree reproduction report\n\n")
+        for r in results:
+            f.write(f"## {r.name} ({r.paper_ref})\n\n```\n{r.table()}\n```\n")
+            if r.notes:
+                f.write(f"\n{r.notes}\n")
+            f.write("\n")
+    raw.write_text(json.dumps(
+        {r.name: {"headers": r.headers, "rows": r.rows, "notes": r.notes}
+         for r in results}, indent=2))
+    return report, raw

@@ -17,7 +17,9 @@ jitter so traversals stay inside the chunk region.
 :func:`throughput_timeline` then runs a closed-loop batch-at-a-time
 serving schedule on the virtual clock, optionally stepping an
 :class:`repro.balance.OnlineRebalancer` after each batch, and reports
-per-step throughput so recovery after migration is visible.
+per-step throughput so recovery after migration is visible, and
+:func:`rebalance_comparison` serves the same stream with rebalancing off
+and on (the ``repro balance`` demo).
 
 Everything is seeded and runs on simulated time: two identical calls
 produce byte-identical timelines.
@@ -35,6 +37,7 @@ __all__ = [
     "boxes_under_metas",
     "throughput_timeline",
     "steady_state_throughput",
+    "rebalance_comparison",
 ]
 
 
@@ -182,3 +185,54 @@ def steady_state_throughput(rows: list[dict], *, tail: float = 0.5) -> float:
     start = int(len(rows) * (1.0 - tail))
     tail_rows = rows[start:] or rows
     return float(np.mean([r["throughput"] for r in tail_rows]))
+
+
+def rebalance_comparison(data, config, *, n_modules: int, seed: int,
+                         batch: int, steps: int, k: int = 10,
+                         kind: str = "bc") -> dict:
+    """Serve the adversarial hot-shard stream twice: rebalance off, then on.
+
+    Both runs build a traced adapter over ``data``; construction is
+    deterministic, so they see the same layout and the same query
+    stream.  The second run steps an
+    :class:`~repro.balance.OnlineRebalancer` configured by ``config`` (a
+    :class:`~repro.balance.BalanceConfig`) after every batch.  Returns
+    the hot module and its chunks, both timelines and steady-state
+    throughputs, the rebalanced run's adapter and rebalancer, and the
+    trace reconciliation problems of both runs.
+    """
+    from ..balance import OnlineRebalancer
+    from ..obs import TraceCollector
+    from .harness import PIMZdTreeAdapter
+
+    def build():
+        tracer = TraceCollector()
+        return PIMZdTreeAdapter(data, n_modules=n_modules, seed=seed,
+                                tracer=tracer), tracer
+
+    adapter_off, tracer_off = build()
+    hot_mid, hot_metas = hottest_colocated_metas(adapter_off.tree)
+    if kind == "bc":
+        queries = boxes_under_metas(adapter_off.tree, hot_metas,
+                                    max(batch, 256), seed=seed + 1)
+    else:
+        queries = queries_under_metas(adapter_off.tree, hot_metas,
+                                      max(batch, 1024), seed=seed + 1)
+    rows_off = throughput_timeline(adapter_off, queries, steps=steps,
+                                   batch=batch, k=k, kind=kind)
+    adapter_on, tracer_on = build()
+    rebalancer = OnlineRebalancer(adapter_on.tree, config)
+    rows_on = throughput_timeline(adapter_on, queries, steps=steps,
+                                  batch=batch, k=k, kind=kind,
+                                  rebalancer=rebalancer)
+    off = steady_state_throughput(rows_off)
+    on = steady_state_throughput(rows_on)
+    return {
+        "hot_module": int(hot_mid), "hot_metas": hot_metas,
+        "timeline_off": rows_off, "timeline_on": rows_on,
+        "off": off, "on": on,
+        "speedup": on / off if off > 0 else float("inf"),
+        "adapter": adapter_on, "rebalancer": rebalancer,
+        "problems": (tracer_off.timeline.reconcile(adapter_off.system.stats)
+                     + tracer_on.timeline.reconcile(adapter_on.system.stats)),
+    }

@@ -33,6 +33,11 @@ results — every request still ends in exactly one terminal state, and
 :class:`LatencyStats` reports availability alongside goodput.  Driven
 from the CLI via ``python -m repro.cli faults``.
 
+:class:`RunSpec` (``repro.serve.spec``) describes one whole run —
+dataset, arrivals, mix, tenants, queue, tuned config, loop settings —
+and :func:`build_run` builds it; every serve-style CLI subcommand, each
+sweep shard and each tuner candidate goes through that one path.
+
 Everything runs on the simulated clock, so serve runs are deterministic:
 identical inputs produce byte-identical stats.
 """
@@ -41,6 +46,7 @@ from .batcher import AdaptiveBatchPolicy, FixedBatchPolicy
 from .loop import BatchRecord, ServeLoop, ServeResult
 from .queue import AdmissionQueue, OVERFLOW_POLICIES
 from .request import KINDS, Request, make_requests
+from .spec import Run, RunSpec, build_run, probe_capacity
 from .stats import LatencyStats, latency_summary
 from .sweep import SweepResult, SweepShardError, run_shard, run_sweep
 from .tenants import DEFAULT_TENANT, SLO_CLASSES, TenantPolicy
@@ -55,15 +61,19 @@ __all__ = [
     "LatencyStats",
     "OVERFLOW_POLICIES",
     "Request",
+    "Run",
+    "RunSpec",
     "SLO_CLASSES",
     "ServeLoop",
     "ServeResult",
     "SweepResult",
     "SweepShardError",
     "TenantPolicy",
+    "build_run",
     "calibrate_capacity",
     "latency_summary",
     "make_requests",
+    "probe_capacity",
     "run_shard",
     "run_sweep",
     "serve",

@@ -24,7 +24,6 @@ which is what CI uses for reproducibility checks.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 import traceback
@@ -97,6 +96,17 @@ class SweepResult:
             "shard_seeds": self.shard_seeds,
         }
 
+    def csv(self) -> str:
+        """Flat ``metric,value`` CSV of the counts, rates and percentiles."""
+        rows = [(k, getattr(self, k)) for k in (
+            "n_shards", "n_offered", "n_done", "n_failed", "n_timed_out",
+            "n_rejected", "n_shed", "aggregate_throughput",
+            "aggregate_goodput", "wall_s")]
+        for group, d in (("latency", self.latency), ("queue", self.queue),
+                         ("service", self.service)):
+            rows.extend((f"{group}_{k}", v) for k, v in d.items())
+        return "metric,value\n" + "\n".join(f"{k},{v}" for k, v in rows) + "\n"
+
     def table(self) -> str:
         lines = [
             f"shards            {self.n_shards}",
@@ -121,68 +131,24 @@ class SweepResult:
 def run_shard(spec: dict) -> dict:
     """Run one serve shard described by ``spec``; returns a plain dict.
 
-    ``spec`` keys: dataset, n, n_modules, index, variant kwargs are
-    implicit in index kind, seed, requests, rate, mix, k, deadline_s,
-    queue_depth, overflow, policy, fixed_batch, exec_mode,
-    arrival, tenants (optional tenant→weight dict: tags requests and
-    turns the queue weighted-fair), tune_config (optional resolved
-    ``repro.tune`` config dict — the shard then builds its policy,
-    rebalancer, replicas and route filters through
-    :func:`repro.tune.apply.apply_serving_config`, each replica owning
-    its own copies).  Everything in and out is picklable.
+    ``spec`` holds :class:`~repro.serve.spec.RunSpec` fields plus the
+    shard index under ``"shard"``; the shard builds its own adapter,
+    config mechanisms and loop through :func:`~repro.serve.spec.build_run`.
+    Everything in and out is picklable.
     """
-    from ..eval.experiments import _dataset
-    from ..eval.harness import make_adapter
-    from ..workloads import (bursty_arrivals, diurnal_arrivals,
-                             poisson_arrivals)
-    from . import (AdaptiveBatchPolicy, AdmissionQueue, FixedBatchPolicy,
-                   ServeLoop, make_requests)
     from .request import DEGRADED, DONE
+    from .spec import RunSpec, build_run
 
     t0 = time.perf_counter()
-    seed = int(spec["seed"])
-    data = _dataset(spec["dataset"], int(spec["n"]), int(spec["data_seed"]))
-    arrival_fn = {"poisson": poisson_arrivals, "bursty": bursty_arrivals,
-                  "diurnal": diurnal_arrivals}[spec.get("arrival", "poisson")]
-    arrivals = arrival_fn(float(spec["rate"]), int(spec["requests"]),
-                          seed=seed + 1)
-    requests = make_requests(
-        data, arrivals, mix=spec.get("mix"), k=int(spec.get("k", 10)),
-        deadline_s=float(spec.get("deadline_s", math.inf)), seed=seed + 2,
-        tenants=spec.get("tenants"))
-    tune_config = spec.get("tune_config")
-    rebalancer = None
-    if tune_config is not None:
-        from ..tune.apply import (apply_serving_config, make_index_config)
-
-        idx_cfg = make_index_config(
-            tune_config, kind=spec.get("index", "pim"), n_points=len(data),
-            n_modules=int(spec["n_modules"]))
-        adapter = make_adapter(
-            spec.get("index", "pim"), data, n_modules=int(spec["n_modules"]),
-            seed=seed, exec_mode=spec.get("exec_mode"), config=idx_cfg)
-        parts = apply_serving_config(adapter, tune_config, filter_seed=seed)
-        policy = parts["policy"]
-        rebalancer = parts["rebalancer"]
-    else:
-        adapter = make_adapter(
-            spec.get("index", "pim"), data, n_modules=int(spec["n_modules"]),
-            seed=seed, exec_mode=spec.get("exec_mode"))
-        policy = (FixedBatchPolicy(int(spec.get("fixed_batch", 256)))
-                  if spec.get("policy") == "fixed" else AdaptiveBatchPolicy())
-    loop = ServeLoop(
-        adapter,
-        AdmissionQueue(int(spec.get("queue_depth", 4096)),
-                       overflow=spec.get("overflow", "reject"),
-                       tenants=spec.get("tenants")),
-        policy, rebalancer=rebalancer)
-    result = loop.run(requests)
+    run = build_run(RunSpec(**{k: v for k, v in spec.items()
+                               if k != "shard"}))
+    result = run.loop.run(run.requests)
     s = result.stats
     answered = sorted(
         (r for r in result.requests if r.status in (DONE, DEGRADED)),
         key=lambda r: r.rid)
     return {
-        "seed": seed,
+        "seed": int(spec["seed"]),
         "wall_s": time.perf_counter() - t0,
         "n_offered": s.n_offered,
         "n_done": s.n_done,
@@ -252,54 +218,26 @@ def _shard_specs(*, procs: int, total_requests: int, seed: int,
     return specs
 
 
-def run_sweep(
-    *,
-    dataset: str = "uniform",
-    n: int = 20_000,
-    n_modules: int = 2048,
-    index: str = "pim",
-    total_requests: int = 1_000_000,
-    rate: float,
-    procs: int | None = None,
-    seed: int = 7,
-    mix: dict[str, float] | None = None,
-    k: int = 10,
-    deadline_s: float = math.inf,
-    queue_depth: int = 4096,
-    overflow: str = "reject",
-    policy: str = "adaptive",
-    fixed_batch: int = 256,
-    exec_mode: str | None = None,
-    arrival: str = "poisson",
-    tenants: dict[str, float] | None = None,
-    tune_config: dict | None = None,
-) -> SweepResult:
+def run_sweep(*, rate: float, total_requests: int = 1_000_000,
+              procs: int | None = None, seed: int = 7,
+              n_modules: int = 2048, queue_depth: int = 4096,
+              **fields) -> SweepResult:
     """Shard ``total_requests`` across ``procs`` serve replicas and merge.
 
     ``rate`` is the *per-shard* offered rate (each replica sees its own
     independent arrival process at this rate).  ``procs`` defaults to
     ``os.cpu_count()`` capped at 8; each shard gets seed ``seed + 1000·i``
     for its arrival/request streams while sharing the dataset (drawn from
-    ``seed`` so every replica serves the same index).  ``tune_config`` (a
-    resolved :mod:`repro.tune` config dict) makes every shard build its
-    serving objects — batch policy, rebalancer, replicas, route filters —
-    through the one config-application path; ``None`` keeps the legacy
-    ``policy``/``fixed_batch`` arguments.
+    ``seed`` so every replica serves the same index).  ``fields`` are
+    further :class:`~repro.serve.spec.RunSpec` fields every shard shares
+    (``dataset``, ``n``, ``index``, ``mix``, ``config``,
+    ``staleness_s``, ...).
     """
     if procs is None:
         procs = min(8, os.cpu_count() or 1)
     procs = max(1, int(procs))
-    spec_kw = {
-        "dataset": dataset, "n": int(n), "data_seed": int(seed),
-        "n_modules": int(n_modules), "index": index,
-        "rate": float(rate), "mix": mix, "k": int(k),
-        "deadline_s": float(deadline_s),
-        "queue_depth": int(queue_depth), "overflow": overflow,
-        "policy": policy, "fixed_batch": int(fixed_batch),
-        "exec_mode": exec_mode,
-        "arrival": arrival, "tenants": tenants,
-        "tune_config": tune_config,
-    }
+    spec_kw = {**fields, "data_seed": int(seed), "n_modules": int(n_modules),
+               "queue_depth": int(queue_depth), "rate": float(rate)}
     specs = _shard_specs(procs=procs, total_requests=total_requests,
                          seed=seed, spec_kw=spec_kw)
 

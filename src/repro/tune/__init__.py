@@ -15,13 +15,13 @@ Three layers (see DESIGN.md "Self-tuning"):
 objects every consumer shares.
 """
 
-from .apply import (apply_serving_config, attach_replication,
+from .apply import (IndexMismatch, apply_serving_config, attach_replication,
                     attach_route_filters, make_index_config, make_policy,
                     make_rebalancer)
 from .online import ADAPTABLE_KNOBS, WHITELIST_DEFAULT, OnlineController
 from .search import (DEFAULT_SEARCH_KNOBS, WORKLOADS, TuneNode, TuneResult,
                      dominates, evaluate_config, load_profile, pareto_front,
-                     profile_doc, profile_json, search)
+                     profile_doc, profile_json, profile_report, search)
 from .space import ConfigSpace, Knob, KnobConflict, Resolution, default_space
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "ConfigSpace",
     "Resolution",
     "default_space",
+    "IndexMismatch",
     "make_policy",
     "make_index_config",
     "make_rebalancer",
@@ -46,6 +47,7 @@ __all__ = [
     "search",
     "profile_doc",
     "profile_json",
+    "profile_report",
     "load_profile",
     "ADAPTABLE_KNOBS",
     "WHITELIST_DEFAULT",

@@ -1,8 +1,8 @@
 """Turn one configuration dict into live serving objects.
 
-Every consumer of the knob space — ``repro serve``/``faults``/``sweep``,
-the offline search harness's evaluator and the tuning benchmarks — builds
-its batch policy, rebalancer, replica set and route filters through these
+Every consumer of the knob space — each serving run built by
+:func:`repro.serve.spec.build_run` and the tuning benchmarks — builds its
+batch policy, rebalancer, replica set and route filters through these
 helpers, so a configuration means exactly one thing everywhere.  A
 default config produces objects byte-identical to the pre-tuner code
 paths (``AdaptiveBatchPolicy()``, no rebalancer, no replicas, no
@@ -12,6 +12,7 @@ filters), which is what keeps the serve goldens green.
 from __future__ import annotations
 
 __all__ = [
+    "IndexMismatch",
     "make_policy",
     "make_index_config",
     "make_rebalancer",
@@ -23,8 +24,13 @@ __all__ = [
 _PULL_FACTOR_DEFAULT = 3.0  # PIMZdTreeConfig.pull_imbalance_factor
 
 
-def _pim_tree(adapter):
-    """The adapter's PIM tree, or ``None`` for baseline adapters.
+class IndexMismatch(ValueError):
+    """A tree-level mechanism was requested on a treeless baseline index."""
+
+
+def _pim_tree(adapter, error: str):
+    """The adapter's PIM tree; raises :class:`IndexMismatch` with
+    ``error`` for baseline adapters.
 
     The zd/pkd baselines also expose a ``tree`` attribute, so the guard
     checks for the PIM system handle the tree-level mechanisms need
@@ -32,7 +38,9 @@ def _pim_tree(adapter):
     AttributeError instead of a usage error).
     """
     tree = getattr(adapter, "tree", None)
-    return tree if tree is not None and hasattr(tree, "system") else None
+    if tree is None or not hasattr(tree, "system"):
+        raise IndexMismatch(error)
+    return tree
 
 
 def make_policy(config: dict):
@@ -71,9 +79,7 @@ def make_rebalancer(adapter, config: dict):
     """Online rebalancer per ``rebalance.*`` (``None`` when disabled)."""
     if not config["rebalance.enabled"]:
         return None
-    tree = _pim_tree(adapter)
-    if tree is None:
-        raise ValueError("rebalancing requires a pim index adapter")
+    tree = _pim_tree(adapter, "rebalancing requires a pim index adapter")
     from ..balance import BalanceConfig, OnlineRebalancer
 
     cfg = BalanceConfig(
@@ -92,9 +98,7 @@ def attach_replication(adapter, config: dict, *,
     k = int(config["replicate.k"])
     if k < 2:
         return None
-    tree = _pim_tree(adapter)
-    if tree is None:
-        raise ValueError("replication requires a pim index adapter")
+    tree = _pim_tree(adapter, "replication requires a pim index adapter")
     from ..replicate import ReplicaSet, ReplicationConfig
 
     cfg = ReplicationConfig(k=k,
@@ -108,9 +112,8 @@ def attach_route_filters(adapter, config: dict, *, seed: int = 0):
     filter summary, or ``None`` when disabled."""
     if not config["route.enabled"]:
         return None
-    tree = _pim_tree(adapter)
-    if tree is None:
-        raise ValueError("route filters require a pim index adapter")
+    tree = _pim_tree(adapter,
+                     "route filters require a pim index adapter")
     from ..route import RouteFilterSet
 
     rf = RouteFilterSet(tree, fpr=float(config["route.fpr"]), seed=seed)

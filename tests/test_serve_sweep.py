@@ -69,8 +69,7 @@ class TestDeterminism:
                        data_seed=SMALL["seed"], n_modules=SMALL["n_modules"],
                        index="pim", rate=float(SMALL["rate"]), mix=None,
                        k=10, deadline_s=float("inf"), queue_depth=4096,
-                       overflow="reject", policy="adaptive", fixed_batch=256,
-                       exec_mode=None, arrival="poisson")
+                       overflow="reject", arrival="poisson")
         specs = _shard_specs(procs=2, total_requests=SMALL["total_requests"],
                              seed=SMALL["seed"], spec_kw=spec_kw)
         shards = [run_shard(s) for s in specs]
@@ -79,6 +78,29 @@ class TestDeterminism:
         assert r.n_done == sum(s["n_done"] for s in shards)
         assert r.latency["p99"] == float(np.sort(pooled)[
             int(np.ceil(0.99 * len(pooled))) - 1])
+
+
+class TestStaleness:
+    def test_sweep_shards_get_the_staleness_flag(self, monkeypatch, capsys):
+        """Every shard's replicas use --staleness-ms; the sweep used to drop
+        the flag and serve each shard at the 1 ms default."""
+        from repro.cli import main
+        from repro.replicate import ReplicaSet
+
+        seen = []
+        real_init = ReplicaSet.__init__
+
+        def spy(self, tree, config, *a, **kw):
+            seen.append(config.staleness_bound_s)
+            real_init(self, tree, config, *a, **kw)
+
+        monkeypatch.setattr(ReplicaSet, "__init__", spy)
+        rc = main(["sweep", "--n", "1500", "--n-modules", "8",
+                   "--requests", "40", "--rate", "20000", "--procs", "1",
+                   "--replicate", "2", "--write-policy", "primary-async",
+                   "--mix", "knn=0.5,insert=0.5", "--staleness-ms", "50"])
+        assert rc == 0, capsys.readouterr().out
+        assert seen == [50 * 1e-3]
 
 
 class TestShardFailure:
